@@ -6,7 +6,7 @@
 // subsets is dominated under the complemented polarity by the singleton
 // {q0} minted from the very first leaf — so the antichain layer collapses
 // the whole exploration to O(k) live configurations. The On/Off rows are
-// paired and gated by ci/antichain_gate.py (>= 2x at the largest common
+// paired and gated by ci/ratio_gate.py (>= 2x at the largest common
 // parameter). `pad` adds dead states to push the subset-mask universe past
 // kDefaultDenseThreshold, so the On rows also exercise the sorted-sparse
 // AdaptiveStateSet representation; the Dense rows keep pad = 0 to cover

@@ -81,7 +81,7 @@ BENCHMARK(BM_Lemma14_ExplicitConstruction)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 // Paired lazy/eager product-emptiness rows on the filter-family schemas,
 // shared timing loop, engine chosen by the caller. Verdict agreement is
-// asserted once outside the loop; ci/lazy_gate.py enforces the speedup on
+// asserted once outside the loop; ci/ratio_gate.py enforces the speedup on
 // the Inclusion pair's largest parameter.
 void RunLemma14Pair(benchmark::State& state, EmptinessEngine engine,
                     const Nta& a, const Nta& b, bool expect_empty) {
@@ -120,7 +120,7 @@ void BM_Lemma14_InclusionEager(benchmark::State& state) {
   RunLemma14Inclusion(state, EmptinessEngine::kEager);
 }
 // MinTime: the small rows run tens of µs/op and feed both the perf-smoke
-// compare and ci/lazy_gate.py — a longer window than the suite default
+// compare and ci/ratio_gate.py — a longer window than the suite default
 // averages out single-vCPU scheduler noise.
 BENCHMARK(BM_Lemma14_InclusionLazy)->Arg(8)->Arg(16)->Arg(32)->MinTime(0.25);
 BENCHMARK(BM_Lemma14_InclusionEager)->Arg(8)->Arg(16)->Arg(32)->MinTime(0.25);
@@ -142,50 +142,6 @@ void BM_Lemma14_SelfInclusionEager(benchmark::State& state) {
 }
 BENCHMARK(BM_Lemma14_SelfInclusionLazy)->Arg(8)->Arg(16)->Arg(32);
 BENCHMARK(BM_Lemma14_SelfInclusionEager)->Arg(8)->Arg(16)->Arg(32);
-
-// Scaling rows for ci/parallel_gate.py: params are [n, threads], and the
-// threads=1 row runs the sequential engine, so within-bench ratios measure
-// the worker pool directly. Two shapes: the early-exit inclusion query
-// (latency to the first counterexample) and the saturating self-inclusion
-// query (full fixpoint — the shape with real parallel work). The gate only
-// enforces ratios when the recorded hardware_concurrency allows them.
-void RunLemma14Parallel(benchmark::State& state, bool self) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  PaperExample ex = FilterFamily(n);
-  Nta a = Nta::FromDtd(self ? *ex.din : *ex.dout);
-  Nta b = Nta::FromDtd(*ex.din);
-  LazyProductSpec spec;
-  spec.AddNta(&a);
-  spec.AddDeterminized(&b, /*complement=*/true);
-  LazyOptions options;
-  options.threads = threads;
-  StatusOr<EmptinessOutcome> reference = LazyEmptiness(spec, nullptr);
-  StatusOr<EmptinessOutcome> parallel = LazyEmptiness(spec, nullptr, options);
-  XTC_CHECK_MSG(reference.ok(), reference.status().ToString().c_str());
-  XTC_CHECK_MSG(parallel.ok(), parallel.status().ToString().c_str());
-  XTC_CHECK(reference->empty == parallel->empty &&
-            parallel->empty == self);
-  for (auto _ : state) {
-    StatusOr<EmptinessOutcome> out = LazyEmptiness(spec, nullptr, options);
-    XTC_CHECK_MSG(out.ok(), out.status().ToString().c_str());
-    benchmark::DoNotOptimize(out->empty);
-  }
-  state.counters["threads"] = threads;
-  state.counters["configs"] = static_cast<double>(parallel->stats.configs);
-}
-void BM_Lemma14_InclusionParallel(benchmark::State& state) {
-  RunLemma14Parallel(state, /*self=*/false);
-}
-void BM_Lemma14_SelfInclusionParallel(benchmark::State& state) {
-  RunLemma14Parallel(state, /*self=*/true);
-}
-BENCHMARK(BM_Lemma14_InclusionParallel)
-    ->Args({32, 1})->Args({32, 2})->Args({32, 4})->Args({32, 8})
-    ->MinTime(0.25)->UseRealTime();
-BENCHMARK(BM_Lemma14_SelfInclusionParallel)
-    ->Args({32, 1})->Args({32, 2})->Args({32, 4})->Args({32, 8})
-    ->MinTime(0.25)->UseRealTime();
 
 }  // namespace
 }  // namespace xtc

@@ -129,7 +129,7 @@ BENCHMARK(BM_ServiceWarmCache)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 // the lock-free snapshot path. This is the sharded cache's proof row: with
 // the old single-mutex table the per-op time grows with thread count (a
 // convoy); with snapshot reads it should stay near flat, so the scaling
-// ratio N*ns(1)/ns(N) approaches N (ci/cache_gate.py enforces floors on
+// ratio N*ns(1)/ns(N) approaches N (ci/ratio_gate.py enforces floors on
 // multi-core hosts). Thread count rides in Arg() rather than ->Threads()
 // because the bench JSON reporter strips /key:value name suffixes, which
 // would drop a Threads() count from the row; manual time brackets exactly

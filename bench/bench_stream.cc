@@ -3,7 +3,7 @@
 // streaming rows feed generator chunks straight into the event reader —
 // no component ever holds the document — so their peak_bytes must stay
 // flat as n quadruples, while the DOM rows parse the full tree and their
-// peak grows with the document. ci/stream_gate.py asserts exactly that on
+// peak grows with the document. ci/ratio_gate.py asserts exactly that on
 // the aggregated BENCH json.
 //
 // Registration order matters for the memory rows: bench_main.cc resets the

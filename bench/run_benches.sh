@@ -3,9 +3,8 @@
 # output into a single machine-readable file (default: BENCH_pr10.json at
 # the repo root). EXPERIMENTS.md documents the format; ci/run_ci.sh compares
 # a fresh run against the checked-in snapshot in its perf-smoke stage and
-# checks the lazy-vs-eager pairs with ci/lazy_gate.py, the antichain
-# subsumption pairs with ci/antichain_gate.py, and the streaming
-# peak-memory claims with ci/stream_gate.py.
+# checks the within-run ratio claims (lazy vs eager, antichain on vs off,
+# cache warm-hit scaling, streaming peak memory) with ci/ratio_gate.py.
 #
 # When xtc_loadgen is built, one gate-mode run (calibrate, unloaded 0.5x,
 # overload 2x) is embedded under a top-level "loadgen" key — outside
@@ -69,14 +68,10 @@ import sys
 out_path, tmp_dir, passes, benches = (
     sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4:])
 doc = {"format": "xtc-bench-v1", "suites": {}}
-# The *Parallel bench rows carry a [n, threads] parameter pair whose ratios
-# only mean anything relative to the physical core count of the recording
-# host; ci/parallel_gate.py reads this block and skips its speedup floors
-# when the host cannot exhibit them (e.g. the single-vCPU CI box).
-doc["metadata"] = {
-    "hardware_concurrency": os.cpu_count() or 1,
-    "parallel_thread_counts": [1, 2, 4, 8],
-}
+# The cache-contention rows' scaling only means anything relative to the
+# physical core count of the recording host; ci/ratio_gate.py reads this
+# block and skips floors the host cannot exhibit (e.g. a single-vCPU box).
+doc["metadata"] = {"hardware_concurrency": os.cpu_count() or 1}
 # Set XTC_TSAN_CLEAN=1 after a green `ctest --preset tsan` pass to record
 # that the service-layer concurrency tests ran race-free for this snapshot.
 if "XTC_TSAN_CLEAN" in os.environ:

@@ -17,7 +17,7 @@
 // *our* code visible (init-before-publish ordering, map vs snapshot
 // divergence) while taking the library idiom out of the picture; release
 // builds keep the genuinely mutex-free read path, which is what
-// BM_CacheWarmHitContention and ci/cache_gate.py measure.
+// BM_CacheWarmHitContention and ci/ratio_gate.py measure.
 #if defined(__SANITIZE_THREAD__)
 #define XTC_SNAPSHOT_TSAN_FALLBACK 1
 #elif defined(__has_feature)
@@ -31,12 +31,12 @@
 
 namespace xtc {
 
-/// A single published-pointer slot for read-mostly data structures, the
-/// snapshot/RCU-style analog of the init-before-publish discipline in
-/// concurrent_interner.h: a writer fully constructs an immutable object,
-/// then Publish()es it with release semantics; readers Acquire() the
-/// current version with acquire semantics and may keep using it for as
-/// long as they hold the shared_ptr, even while newer versions land.
+/// A single published-pointer slot for read-mostly data structures, in the
+/// snapshot/RCU style. Init before publish: a writer fully constructs an
+/// immutable object and only then Publish()es it with release semantics, so
+/// no reader can see a half-built value; readers Acquire() the current
+/// version with acquire semantics and may keep using it for as long as
+/// they hold the shared_ptr, even while newer versions land.
 ///
 /// Readers never block writers and writers never block readers — there is
 /// no mutex anywhere in this class. Old versions are reclaimed by the

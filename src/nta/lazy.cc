@@ -13,7 +13,6 @@
 #include "src/nta/analysis.h"
 #include "src/nta/determinize.h"
 #include "src/nta/horizontal_space.h"
-#include "src/nta/lazy_parallel.h"
 #include "src/nta/product.h"
 
 namespace xtc {
@@ -57,8 +56,13 @@ class LazyEngine {
             static_cast<int>(det_comps_.size());
         det_comps_.emplace_back();
         det_comps_.back().component = i;
+      } else {
+        ex_slots_.push_back(i);
       }
     }
+    succ_.resize(ex_slots_.size());
+    key_.resize(comps.size());
+    emit_key_.resize(comps.size());
     symbols_.resize(static_cast<std::size_t>(num_symbols_));
     for (int a = 0; a < num_symbols_; ++a) {
       SymbolData& sym = symbols_[static_cast<std::size_t>(a)];
@@ -75,15 +79,7 @@ class LazyEngine {
     // product has nothing to relax (interner equality dedup is already the
     // maximal sound pruning there), so skip the index entirely.
     antichain_enabled_ = options.antichain && !det_comps_.empty();
-    if (antichain_enabled_) {
-      std::vector<int> ex_positions;
-      for (int i = 0; i < num_components_; ++i) {
-        if (det_slot_[static_cast<std::size_t>(i)] < 0) {
-          ex_positions.push_back(i);
-        }
-      }
-      antichain_.Configure(std::move(ex_positions));
-    }
+    if (antichain_enabled_) antichain_.Configure(ex_slots_);
   }
 
   StatusOr<EmptinessOutcome> Run() {
@@ -238,9 +234,10 @@ class LazyEngine {
     if (dh.target[static_cast<std::size_t>(hsub)] < 0) {
       const int comp = det_comps_[static_cast<std::size_t>(d)].component;
       const std::span<const int> span = dh.ids.Get(hsub);
-      const std::vector<int> members(span.begin(), span.end());
+      members_.assign(span.begin(), span.end());
       dh.target[static_cast<std::size_t>(hsub)] = InternDetState(
-          d, TargetSubset(sym.spaces[static_cast<std::size_t>(comp)], members));
+          d,
+          TargetSubset(sym.spaces[static_cast<std::size_t>(comp)], members_));
     }
     return dh.target[static_cast<std::size_t>(hsub)];
   }
@@ -258,9 +255,9 @@ class LazyEngine {
         det_comps_[static_cast<std::size_t>(d)]
             .masks[static_cast<std::size_t>(det_letter)];
     const std::span<const int> span = dh.ids.Get(hsub);
-    const std::vector<int> members(span.begin(), span.end());
+    members_.assign(span.begin(), span.end());
     scratch_.EnsureUniverse(sp.total);
-    for (int g : members) {
+    for (int g : members_) {
       sp.ForEachEdge(g, [&](int symq, int to) {
         if (mask.Test(symq)) scratch_.Add(to);
       });
@@ -293,23 +290,23 @@ class LazyEngine {
     SymbolData& sym = symbols_[static_cast<std::size_t>(a)];
     // Copy out: interners below may grow their pools.
     const std::span<const int> span = sym.h_ids.Get(hid);
-    const std::vector<int> h(span.begin(), span.end());
-    std::vector<int> key(static_cast<std::size_t>(num_components_));
+    emit_h_.assign(span.begin(), span.end());
     for (int i = 0; i < num_components_; ++i) {
       if (det_slot_[static_cast<std::size_t>(i)] >= 0) continue;
       const HorizontalSpace& sp = sym.spaces[static_cast<std::size_t>(i)];
-      const int g = h[static_cast<std::size_t>(i)];
+      const int g = emit_h_[static_cast<std::size_t>(i)];
       if (!sp.final_mask.Test(g)) return Status::Ok();
-      key[static_cast<std::size_t>(i)] = sp.owner[static_cast<std::size_t>(g)];
+      emit_key_[static_cast<std::size_t>(i)] =
+          sp.owner[static_cast<std::size_t>(g)];
     }
     for (int i = 0; i < num_components_; ++i) {
       const int d = det_slot_[static_cast<std::size_t>(i)];
       if (d >= 0) {
-        key[static_cast<std::size_t>(i)] =
-            TargetOf(a, d, h[static_cast<std::size_t>(i)]);
+        emit_key_[static_cast<std::size_t>(i)] =
+            TargetOf(a, d, emit_h_[static_cast<std::size_t>(i)]);
       }
     }
-    return MintConfig(a, hid, key);
+    return MintConfig(a, hid, emit_key_);
   }
 
   Status MintConfig(int a, int hid, std::span<const int> key) {
@@ -407,78 +404,73 @@ class LazyEngine {
     return true;
   }
 
-  // Cross product of the existential successor choices; det coordinates in
-  // `key` are already fixed.
-  Status EnumerateJoint(int a, std::vector<int>* key,
-                        const std::vector<int>& ex_slots,
-                        const std::vector<std::vector<int>>& options,
-                        int prev, int letter) {
-    std::vector<std::size_t> idx(ex_slots.size(), 0);
+  // Cross product of the existential successor choices in succ_ (one list
+  // per ex_slots_ entry); det coordinates in key_ are already fixed.
+  Status EnumerateJoint(int a, int prev, int letter) {
+    idx_.assign(ex_slots_.size(), 0);
     while (true) {
-      for (std::size_t j = 0; j < ex_slots.size(); ++j) {
-        (*key)[static_cast<std::size_t>(ex_slots[j])] = options[j][idx[j]];
+      for (std::size_t j = 0; j < ex_slots_.size(); ++j) {
+        key_[static_cast<std::size_t>(ex_slots_[j])] = succ_[j][idx_[j]];
       }
-      XTC_RETURN_IF_ERROR(InternJoint(a, *key, prev, letter));
+      XTC_RETURN_IF_ERROR(InternJoint(a, key_, prev, letter));
       if (found_ >= 0) return Status::Ok();
       std::size_t j = 0;
-      for (; j < idx.size(); ++j) {
-        if (++idx[j] < options[j].size()) break;
-        idx[j] = 0;
+      for (; j < idx_.size(); ++j) {
+        if (++idx_[j] < succ_[j].size()) break;
+        idx_[j] = 0;
       }
-      if (j == idx.size()) return Status::Ok();
+      if (j == idx_.size()) return Status::Ok();
     }
   }
 
   Status SeedSymbol(int a) {
     SymbolData& sym = symbols_[static_cast<std::size_t>(a)];
-    std::vector<int> key(static_cast<std::size_t>(num_components_), -1);
-    std::vector<std::vector<int>> options;
-    std::vector<int> ex_slots;
+    std::size_t j = 0;
     for (int i = 0; i < num_components_; ++i) {
       const int d = det_slot_[static_cast<std::size_t>(i)];
       const HorizontalSpace& sp = sym.spaces[static_cast<std::size_t>(i)];
       if (d >= 0) {
-        key[static_cast<std::size_t>(i)] = InternDetH(a, d, sp.initials);
+        key_[static_cast<std::size_t>(i)] = InternDetH(a, d, sp.initials);
         continue;
       }
       if (sp.initials.empty()) return Status::Ok();  // no run roots at `a`
-      ex_slots.push_back(i);
-      options.push_back(sp.initials);
+      succ_[j++] = sp.initials;
     }
-    return EnumerateJoint(a, &key, ex_slots, options, -1, -1);
+    return EnumerateJoint(a, -1, -1);
   }
 
+  // Runs once per (h-state, config) pair, so it works in member buffers
+  // rather than allocating: most calls end at an empty successor list.
   Status StepJoint(int a, int hi, int c) {
     SymbolData& sym = symbols_[static_cast<std::size_t>(a)];
     // Copy out: successor interning moves the pools under these spans.
     const std::span<const int> hspan = sym.h_ids.Get(hi);
-    const std::vector<int> h(hspan.begin(), hspan.end());
+    step_h_.assign(hspan.begin(), hspan.end());
     const std::span<const int> cspan = cfg_ids_.Get(c);
-    const std::vector<int> cfg(cspan.begin(), cspan.end());
+    step_cfg_.assign(cspan.begin(), cspan.end());
 
-    std::vector<int> key(static_cast<std::size_t>(num_components_), -1);
-    std::vector<std::vector<int>> options;
-    std::vector<int> ex_slots;
+    std::size_t j = 0;
     for (int i = 0; i < num_components_; ++i) {
       const int d = det_slot_[static_cast<std::size_t>(i)];
       if (d >= 0) {
-        XTC_ASSIGN_OR_RETURN(key[static_cast<std::size_t>(i)],
-                             StepDet(a, d, h[static_cast<std::size_t>(i)],
-                                     cfg[static_cast<std::size_t>(i)]));
+        XTC_ASSIGN_OR_RETURN(key_[static_cast<std::size_t>(i)],
+                             StepDet(a, d, step_h_[static_cast<std::size_t>(i)],
+                                     step_cfg_[static_cast<std::size_t>(i)]));
         continue;
       }
       const HorizontalSpace& sp = sym.spaces[static_cast<std::size_t>(i)];
-      std::vector<int> succ;
-      sp.ForEachEdge(h[static_cast<std::size_t>(i)], [&](int symq, int to) {
-        if (symq == cfg[static_cast<std::size_t>(i)]) succ.push_back(to);
-      });
+      std::vector<int>& succ = succ_[j++];
+      succ.clear();
+      const int letter = step_cfg_[static_cast<std::size_t>(i)];
+      sp.ForEachEdge(step_h_[static_cast<std::size_t>(i)],
+                     [&](int symq, int to) {
+                       if (symq == letter) succ.push_back(to);
+                     });
       if (succ.empty()) return Status::Ok();  // letter can't extend this run
       std::sort(succ.begin(), succ.end());
       succ.erase(std::unique(succ.begin(), succ.end()), succ.end());
-      ex_slots.push_back(i);
-      options.push_back(std::move(succ));
     }
-    return EnumerateJoint(a, &key, ex_slots, options, hi, c);
+    return EnumerateJoint(a, hi, c);
   }
 
   const LazyProductSpec& spec_;
@@ -487,6 +479,7 @@ class LazyEngine {
   int num_components_ = 0;
   int num_symbols_ = 0;
   std::vector<int> det_slot_;  ///< component -> det slot, -1 if existential
+  std::vector<int> ex_slots_;  ///< existential component indices, in order
   std::vector<DetComponent> det_comps_;
   std::vector<SymbolData> symbols_;
   SubsetInterner cfg_ids_;  ///< global config tuples (k ints)
@@ -499,6 +492,13 @@ class LazyEngine {
   int dense_threshold_ = kDefaultDenseThreshold;
   ScratchSet scratch_;        ///< StepDet successor accumulator
   std::vector<int> step_buf_;  ///< reused ExtractSortedAndClear target
+  // Reused per-step buffers (StepJoint/EnumerateJoint, TryEmit, and the
+  // TargetOf/StepDet subset copies); sized once, never shrunk.
+  std::vector<int> step_h_, step_cfg_, key_;
+  std::vector<std::vector<int>> succ_;  ///< per ex_slots_ entry
+  std::vector<std::size_t> idx_;
+  std::vector<int> emit_h_, emit_key_;
+  std::vector<int> members_;
   int total_h_ = 0;
   int found_ = -1;  ///< first accepting config, -1 while none
   LazyStats stats_;
@@ -560,11 +560,6 @@ StatusOr<EmptinessOutcome> LazyEmptiness(const LazyProductSpec& spec,
       }
       return out;
     }
-  }
-  if (options.threads > 1) {
-    // The parallel engine shares the resume short-circuit above; everything
-    // past this point is the same contract, sharded across a worker pool.
-    return ParallelLazyEmptiness(spec, forest, options);
   }
   LazyEngine engine(spec, forest, options);
   return engine.Run();

@@ -74,8 +74,9 @@ struct CompiledTransducer {
 /// atomic snapshot acquire and probe it — no mutex anywhere on the hit
 /// path. Only misses, inserts, evictions, and universe cascades take the
 /// per-shard writer mutex, mutate the authoritative map, and publish a new
-/// snapshot (init-before-publish, like concurrent_interner.h). The
-/// universe registry gets the same treatment with a single table.
+/// snapshot only after it is fully built, so a reader never sees a
+/// half-initialized table. The universe registry gets the same treatment
+/// with a single table.
 ///
 /// Eviction: approximate LRU over generation stamps. Every entry carries
 /// an atomic `last_used` stamp from a global clock; snapshot hits bump it

@@ -1,5 +1,7 @@
 #include "src/core/hardness.h"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "src/core/brute_force.h"
@@ -165,6 +167,12 @@ struct ContainmentCase {
   const char* p2;
   bool contained;
 };
+
+// Names each case by its two patterns; the default byte dump would print
+// their addresses, which change from run to run.
+void PrintTo(const ContainmentCase& c, std::ostream* os) {
+  *os << c.p1 << " vs " << c.p2;
+}
 
 class Theorem28aTest : public ::testing::TestWithParam<ContainmentCase> {};
 

@@ -1,5 +1,6 @@
 #include "src/schema/re_plus.h"
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -94,6 +95,12 @@ struct InclusionCase {
   const char* rhs;
   bool included;
 };
+
+// Names each case by its two expressions; the default byte dump would print
+// their addresses, which change from run to run.
+void PrintTo(const InclusionCase& c, std::ostream* os) {
+  *os << c.lhs << " vs " << c.rhs;
+}
 
 class RePlusInclusionTest : public ::testing::TestWithParam<InclusionCase> {};
 

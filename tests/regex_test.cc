@@ -1,5 +1,6 @@
 #include "src/fa/regex.h"
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,10 @@ struct Case {
   std::vector<std::vector<int>> accepted;
   std::vector<std::vector<int>> rejected;
 };
+
+// Names each case by its pattern; the default byte dump would print the
+// pattern's address, which changes from run to run.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.pattern; }
 
 class RegexLanguageTest : public ::testing::TestWithParam<Case> {};
 

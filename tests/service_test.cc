@@ -145,6 +145,32 @@ TEST_F(ServiceTest, DelRelabEngineCachesResumableLazySnapshots) {
   EXPECT_EQ(rejected.status.code(), StatusCode::kFailedPrecondition);
 }
 
+TEST_F(ServiceTest, ThreadsWireFieldIsIgnored) {
+  // Older clients may still send `threads`; it is skipped like any unknown
+  // field, changes no verdict, and is never written back out.
+  TypecheckService service(SyncOptions());
+  for (PaperExample (*family)(int) : {&FilterFamily, &FailingFilterFamily}) {
+    StatusOr<ServiceRequest> request = TypecheckRequestFromExample(family(3));
+    ASSERT_TRUE(request.ok());
+    const std::string line = ServiceRequestToJson(*request);
+    StatusOr<JsonValue> doc = ParseJson(line);
+    ASSERT_TRUE(doc.ok());
+    doc->Set("threads", JsonValue::Number(4));
+    const std::string threaded_line = doc->Dump();
+    ASSERT_NE(threaded_line.find("\"threads\""), std::string::npos);
+
+    ServiceRequest plain = MustParse(line);
+    ServiceRequest threaded = MustParse(threaded_line);
+    ServiceResponse expected = service.Process(plain);
+    ServiceResponse actual = service.Process(threaded);
+    ASSERT_TRUE(expected.status.ok()) << expected.status.ToString();
+    ASSERT_TRUE(actual.status.ok()) << actual.status.ToString();
+    EXPECT_EQ(actual.typechecks, expected.typechecks);
+    EXPECT_EQ(ServiceRequestToJson(threaded).find("\"threads\""),
+              std::string::npos);
+  }
+}
+
 TEST_F(ServiceTest, ValidateAndTransform) {
   TypecheckService service(SyncOptions());
   ServiceRequest validate = MustParse(
