@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/base/logging.h"
+#include "src/base/name.h"
 #include "src/core/almost_always.h"
 #include "src/workload/families.h"
 
@@ -45,7 +46,7 @@ PaperExample InfiniteCexFamily(int n) {
   ex.alphabet = std::make_shared<Alphabet>();
   ex.alphabet->Intern("r");
   ex.alphabet->Intern("a");
-  for (int i = 0; i < n; ++i) ex.alphabet->Intern("b" + std::to_string(i));
+  for (int i = 0; i < n; ++i) ex.alphabet->Intern(IndexedName("b", i));
   ex.din = std::make_shared<Dtd>(ex.alphabet.get(), 0);
   std::string rule = "a";
   for (int i = 0; i < n; ++i) rule += " b" + std::to_string(i) + "*";

@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/base/logging.h"
+#include "src/base/name.h"
 #include "src/core/paper_examples.h"
 #include "src/td/xslt_export.h"
 
@@ -29,11 +30,11 @@ void BM_Fig1_ExportScaling(benchmark::State& state) {
   Alphabet alphabet;
   alphabet.Intern("a");
   Transducer t(&alphabet);
-  for (int i = 0; i < n; ++i) t.AddState("q" + std::to_string(i));
+  for (int i = 0; i < n; ++i) t.AddState(IndexedName("q", i));
   t.SetInitial(0);
   for (int i = 0; i < n; ++i) {
-    std::string next = "q" + std::to_string((i + 1) % n);
-    Status s = t.SetRuleFromString("q" + std::to_string(i), "a",
+    std::string next = IndexedName("q", (i + 1) % n);
+    Status s = t.SetRuleFromString(IndexedName("q", i), "a",
                                    "a(" + next + ")");
     XTC_CHECK(s.ok());
   }

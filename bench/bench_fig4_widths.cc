@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/base/logging.h"
+#include "src/base/name.h"
 #include "src/core/paper_examples.h"
 #include "src/td/widths.h"
 
@@ -31,13 +32,13 @@ void BM_Fig4_ChainScaling(benchmark::State& state) {
   alphabet.Intern("a");
   Transducer t(&alphabet);
   t.AddState("q0");
-  for (int i = 1; i <= n; ++i) t.AddState("d" + std::to_string(i));
+  for (int i = 1; i <= n; ++i) t.AddState(IndexedName("d", i));
   t.AddState("w");
   t.SetInitial(0);
   XTC_CHECK(t.SetRuleFromString("q0", "a", "a(d1)").ok());
   for (int i = 1; i <= n; ++i) {
-    std::string next = i == n ? "w" : "d" + std::to_string(i + 1);
-    XTC_CHECK(t.SetRuleFromString("d" + std::to_string(i), "a",
+    std::string next = i == n ? "w" : IndexedName("d", i + 1);
+    XTC_CHECK(t.SetRuleFromString(IndexedName("d", i), "a",
                                   next + " " + next)
                   .ok());
   }
@@ -61,13 +62,13 @@ void BM_Fig4_CycleDetection(benchmark::State& state) {
   alphabet.Intern("a");
   Transducer t(&alphabet);
   t.AddState("q0");
-  for (int i = 1; i <= n; ++i) t.AddState("r" + std::to_string(i));
+  for (int i = 1; i <= n; ++i) t.AddState(IndexedName("r", i));
   t.SetInitial(0);
   XTC_CHECK(t.SetRuleFromString("q0", "a", "a(r1)").ok());
   for (int i = 1; i <= n; ++i) {
-    std::string next = "r" + std::to_string(i % n + 1);
+    std::string next = IndexedName("r", i % n + 1);
     XTC_CHECK(
-        t.SetRuleFromString("r" + std::to_string(i), "a", "a " + next).ok());
+        t.SetRuleFromString(IndexedName("r", i), "a", "a " + next).ok());
   }
   for (auto _ : state) {
     WidthAnalysis w = AnalyzeWidths(t);

@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/base/logging.h"
+#include "src/base/name.h"
 #include "src/core/minvast.h"
 #include "src/core/replus.h"
 #include "src/core/trac.h"
@@ -65,13 +66,12 @@ void BM_RePlus_SchemaDepth(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   PaperExample ex;
   ex.alphabet = std::make_shared<Alphabet>();
-  for (int i = 0; i <= n; ++i) ex.alphabet->Intern("s" + std::to_string(i));
+  for (int i = 0; i <= n; ++i) ex.alphabet->Intern(IndexedName("s", i));
   ex.din = std::make_shared<Dtd>(ex.alphabet.get(), 0);
   for (int i = 0; i < n; ++i) {
-    XTC_CHECK(ex.din
-                  ->SetRule("s" + std::to_string(i),
-                            "s" + std::to_string(i + 1) + "+")
-                  .ok());
+    XTC_CHECK(
+        ex.din->SetRule(IndexedName("s", i), IndexedName("s", i + 1) + "+")
+            .ok());
   }
   ex.transducer = std::make_shared<Transducer>(ex.alphabet.get());
   ex.transducer->AddState("q0");
@@ -81,16 +81,15 @@ void BM_RePlus_SchemaDepth(benchmark::State& state) {
       ex.transducer->SetRuleFromString("q0", "s0", "s0(q q q)").ok());
   for (int i = 1; i <= n; ++i) {
     XTC_CHECK(ex.transducer
-                  ->SetRuleFromString("q", "s" + std::to_string(i),
-                                      "s" + std::to_string(i) + "(q q q)")
+                  ->SetRuleFromString("q", IndexedName("s", i),
+                                      IndexedName("s", i) + "(q q q)")
                   .ok());
   }
   ex.dout = std::make_shared<Dtd>(ex.alphabet.get(), 0);
   for (int i = 0; i < n; ++i) {
-    XTC_CHECK(ex.dout
-                  ->SetRule("s" + std::to_string(i),
-                            "s" + std::to_string(i + 1) + "+")
-                  .ok());
+    XTC_CHECK(
+        ex.dout->SetRule(IndexedName("s", i), IndexedName("s", i + 1) + "+")
+            .ok());
   }
   TypecheckOptions opts;
   opts.want_counterexample = false;

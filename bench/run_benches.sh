@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the paper-experiment benchmarks in --json mode and aggregates their
-# output into a single machine-readable file (default: BENCH_pr10.json at
+# output into a single machine-readable file (default: BENCH_pr18.json at
 # the repo root). EXPERIMENTS.md documents the format; ci/run_ci.sh compares
 # a fresh run against the checked-in snapshot in its perf-smoke stage and
 # checks the within-run ratio claims (lazy vs eager, antichain on vs off,
@@ -22,7 +22,7 @@ set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${1:-$REPO_ROOT/build}"
-OUT="${2:-$REPO_ROOT/BENCH_pr10.json}"
+OUT="${2:-$REPO_ROOT/BENCH_pr18.json}"
 PASSES="${PASSES:-2}"
 
 BENCHES=(

@@ -64,7 +64,7 @@ done
 
 echo "=== perf smoke (Release benches vs checked-in snapshot) ==="
 SNAPSHOT=""
-for candidate in BENCH_pr10.json BENCH_pr9.json BENCH_pr8.json BENCH_pr7.json BENCH_pr6.json BENCH_pr4.json BENCH_pr3.json BENCH_pr2.json; do
+for candidate in BENCH_pr18.json BENCH_pr10.json BENCH_pr9.json BENCH_pr8.json BENCH_pr7.json BENCH_pr6.json BENCH_pr4.json BENCH_pr3.json BENCH_pr2.json; do
   if [[ -f "$candidate" ]]; then SNAPSHOT="$candidate"; break; fi
 done
 if [[ -n "$SNAPSHOT" ]]; then

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "src/base/logging.h"
+#include "src/base/name.h"
 #include "src/xpath/eval.h"
 
 namespace xtc {
@@ -122,20 +123,21 @@ PaperExample MakeTheorem18Instance(
   ex.transducer = std::make_shared<Transducer>(ex.alphabet.get());
   int q0 = ex.transducer->AddState("q0");
   for (int i = 1; i <= m; ++i) {
-    ex.transducer->AddState("q" + std::to_string(i));
+    ex.transducer->AddState(IndexedName("q", i));
   }
   ex.transducer->SetInitial(q0);
   MustSetRule(ex.transducer.get(), "q0", "r", "r(q1 # q1)");
   for (int i = 1; i < m; ++i) {
-    MustSetRule(ex.transducer.get(), "q" + std::to_string(i), "#",
-                "q" + std::to_string(i + 1) + " # q" + std::to_string(i + 1));
+    const std::string next = IndexedName("q", i + 1);
+    MustSetRule(ex.transducer.get(), IndexedName("q", i), "#",
+                next + " # " + next);
     for (const std::string& a : delta_names) {
-      MustSetRule(ex.transducer.get(), "q" + std::to_string(i), a, "ok");
+      MustSetRule(ex.transducer.get(), IndexedName("q", i), a, "ok");
     }
   }
-  MustSetRule(ex.transducer.get(), "q" + std::to_string(m), "#", "ok");
+  MustSetRule(ex.transducer.get(), IndexedName("q", m), "#", "ok");
   for (const std::string& a : delta_names) {
-    MustSetRule(ex.transducer.get(), "q" + std::to_string(m), a, a);
+    MustSetRule(ex.transducer.get(), IndexedName("q", m), a, a);
   }
 
   // d_out: r's children simulate A_1..A_n on the #-separated segments.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/base/interner.h"
@@ -56,10 +57,17 @@ struct Copy {
 
 // How one obligation's copies are verified at the end of the hedge.
 struct Group {
-  int first_copy;                      // index of its first copy
-  int count;                           // number of copies (k_i >= 1)
-  std::vector<std::vector<int>> seps;  // w_0..w_k
-  int target;                          // r_i, or -1 for a complement check
+  int first_copy;                             // index of its first copy
+  int count;                                  // number of copies (k_i >= 1)
+  const std::vector<std::vector<int>>* seps;  // w_0..w_k, in patterns_
+  int target;  // r_i, or -1 for a complement check
+};
+
+// One cell of a singleton row: target r and the entry id of the singleton
+// configuration Sat(c, A_sigma, [(p, l, r)]).
+struct RowCell {
+  int r;
+  int id;
 };
 
 class Engine {
@@ -70,7 +78,11 @@ class Engine {
         din_(din),
         dout_(dout),
         options_(options),
-        reach_(t, din) {}
+        reach_(t, din),
+        rule_pattern_(static_cast<std::size_t>(t.num_states()) *
+                          static_cast<std::size_t>(din.num_symbols()),
+                      kUnsplit),
+        row_index_(static_cast<std::size_t>(din.num_symbols())) {}
 
   StatusOr<TypecheckResult> Run();
 
@@ -83,9 +95,9 @@ class Engine {
     bool is_top = false;
     int b = -1;      // input symbol (Sat) / input symbol a (top)
     int sigma = -1;  // output DFA index
-    std::vector<Obl> obls;    // Sat only
-    TopPattern pattern;       // top only
-    int q = -1;               // top only: the rule's state
+    std::vector<Obl> obls;                // Sat only
+    const TopPattern* pattern = nullptr;  // top only, in patterns_
+    int q = -1;                           // top only: the rule's state
 
     bool status = false;
     // Entries whose evaluation consulted this one while it was false; they
@@ -123,24 +135,38 @@ class Engine {
   // Sorts and dedups *obls in place; the caller's buffer is scratch.
   int GetSatConfig(int b, int sigma, std::vector<Obl>* obls);
 
+  // SplitTop(rule(p, b)), computed once per run; nullptr when the rule is
+  // absent (top(T^p(t)) = epsilon).
+  const TopPattern* RulePattern(int p, int b);
+
+  // The singleton row of (c, sigma, p, l): every target r reachable from l
+  // in A_sigma, ascending, with the id of Sat(c, A_sigma, [(p, l, r)]).
+  // Built on first use by interning those configurations in that order,
+  // which is exactly where and how a per-target lookup would first create
+  // them. Returns the row id, or -1 when building it crossed max_configs.
+  int SingletonRow(int c, int sigma, int p, int l);
+  std::span<const RowCell> Row(int row) const {
+    const std::size_t b = row_begin_[static_cast<std::size_t>(row)];
+    const std::size_t e = row_begin_[static_cast<std::size_t>(row) + 1];
+    return std::span<const RowCell>(row_cells_.data() + b, e - b);
+  }
+
   // Runs the worklist to the least fixpoint.
   Status Solve();
 
   // Evaluates entry `id` under current knowledge; true = satisfiable.
   StatusOr<bool> Eval(int id);
 
-  // Expands a Sat entry's obligations to copies/groups. Returns false if an
-  // obligation is statically violated (no copies case mismatch).
-  bool ExpandSat(const Entry& e, std::vector<Copy>* copies,
-                 std::vector<Group>* groups) const;
+  // Expands a Sat entry's obligations into copies_/groups_. Returns false
+  // if an obligation is statically violated (no copies case mismatch).
+  bool ExpandSat(const Entry& e);
 
   // Shared hedge product search for entry `id` (with input symbol `b` and
-  // output DFA `sigma`). Returns true and stores the witness into the entry
-  // if an accepting configuration is found. Entries are addressed by id
-  // because interning child configurations may reallocate entries_.
-  StatusOr<bool> HedgeSearch(int id, int b, int sigma,
-                             const std::vector<Copy>& copies,
-                             std::vector<Group> groups);
+  // output DFA `sigma`) over copies_/groups_. Returns true and stores the
+  // witness into the entry if an accepting configuration is found. Entries
+  // are addressed by id because interning child configurations may
+  // reallocate entries_.
+  StatusOr<bool> HedgeSearch(int id, int b, int sigma);
 
   Node* BuildConfigWitness(int id, TreeBuilder* builder,
                            std::size_t* budget) const;
@@ -170,17 +196,50 @@ class Engine {
   std::deque<int> worklist_;
   std::vector<bool> queued_;
 
-  // Scratch reused across HedgeSearch calls (it runs once per saturation
-  // entry evaluation; its inner loops must stay allocation-free). Safe
-  // because HedgeSearch never reenters itself.
+  // Split rule templates and top-check patterns. A deque keeps element
+  // addresses stable, so Groups and top-check entries point into it.
+  static constexpr int kUnsplit = -1;
+  static constexpr int kNoRule = -2;
+  std::deque<TopPattern> patterns_;
+  std::vector<int> rule_pattern_;  // (p, b) -> patterns_ index, or k* above
+
+  // Singleton rows, contiguous in row_cells_: row i spans
+  // [row_begin_[i], row_begin_[i + 1]). row_index_[sigma] maps (c, p, l)
+  // to a row id (-1 = not built); it is allocated on sigma's first use.
+  std::vector<std::vector<int>> row_index_;
+  std::vector<RowCell> row_cells_;
+  std::vector<std::size_t> row_begin_{0};
+
+  // Scratch reused across Eval/HedgeSearch calls (they run once per
+  // saturation entry evaluation; the inner loops must stay
+  // allocation-free). Safe because neither reenters itself.
+  struct Parent {
+    int prev;
+    int symbol;
+    int child_cfg;
+  };
+  std::vector<Copy> copies_;
+  std::vector<Group> groups_;
+  std::vector<int> guess_slot_;  // per copy: index into guesses_, or -1
+  std::vector<int> guesses_;
+  std::vector<int> y0_;
+  std::vector<int> y_;
+  std::vector<Parent> parents_;
+  std::vector<std::size_t> idx_;
   SubsetInterner cfg_ids_;
   std::vector<int> cfg_key_;
-  std::vector<std::vector<int>> cand_;
+  std::vector<std::vector<RowCell>> cand_;  // per copy: true singletons
   std::vector<int> z_buf_;
   std::vector<Obl> single_obl_buf_;
   std::vector<Obl> child_obl_buf_;
   std::vector<std::unique_ptr<DfaReachability>> out_reach_;  // per sigma
 };
+
+Status ConfigBudgetError() {
+  return ResourceExhaustedError(
+      "trac engine exceeded the configuration budget (is the transducer "
+      "outside T_trac?)");
+}
 
 int Engine::GetSatConfig(int b, int sigma, std::vector<Obl>* obls) {
   if (obls->size() > 1) {
@@ -221,51 +280,98 @@ int Engine::GetSatConfig(int b, int sigma, std::vector<Obl>* obls) {
   return id;
 }
 
-bool Engine::ExpandSat(const Entry& e, std::vector<Copy>* copies,
-                       std::vector<Group>* groups) const {
+const TopPattern* Engine::RulePattern(int p, int b) {
+  int& slot = rule_pattern_[static_cast<std::size_t>(p) *
+                                static_cast<std::size_t>(din_.num_symbols()) +
+                            static_cast<std::size_t>(b)];
+  if (slot == kUnsplit) {
+    const RhsHedge* rhs = t_.rule(p, b);
+    if (rhs == nullptr) {
+      slot = kNoRule;
+    } else {
+      slot = static_cast<int>(patterns_.size());
+      patterns_.push_back(SplitTop(*rhs));
+    }
+  }
+  return slot == kNoRule ? nullptr
+                         : &patterns_[static_cast<std::size_t>(slot)];
+}
+
+int Engine::SingletonRow(int c, int sigma, int p, int l) {
+  const int n_sigma = OutDfa(sigma).num_states();
+  std::vector<int>& index = row_index_[static_cast<std::size_t>(sigma)];
+  if (index.empty()) {
+    index.assign(static_cast<std::size_t>(din_.num_symbols()) *
+                     static_cast<std::size_t>(t_.num_states()) *
+                     static_cast<std::size_t>(n_sigma),
+                 -1);
+  }
+  int& row = index[(static_cast<std::size_t>(c) *
+                        static_cast<std::size_t>(t_.num_states()) +
+                    static_cast<std::size_t>(p)) *
+                       static_cast<std::size_t>(n_sigma) +
+                   static_cast<std::size_t>(l)];
+  if (row >= 0) return row;
+  // Only targets reachable from l in A_sigma can be satisfied.
+  const StateSet& zreach = OutReachable(sigma, l);
+  for (int r = 0; r < n_sigma; ++r) {
+    if (!zreach.Test(r)) continue;
+    single_obl_buf_.assign(1, Obl{p, l, r});
+    int sid = GetSatConfig(c, sigma, &single_obl_buf_);
+    if (stats_.configs > options_.max_configs) return -1;
+    if (sid >= 0) row_cells_.push_back(RowCell{r, sid});
+  }
+  row = static_cast<int>(row_begin_.size()) - 1;
+  row_begin_.push_back(row_cells_.size());
+  return row;
+}
+
+bool Engine::ExpandSat(const Entry& e) {
   const Dfa& a_sigma = OutDfa(e.sigma);
   for (const Obl& obl : e.obls) {
-    const RhsHedge* rhs = t_.rule(obl.p, e.b);
-    if (rhs == nullptr) {
+    const TopPattern* pat = RulePattern(obl.p, e.b);
+    if (pat == nullptr) {
       // top(T^p(t)) = epsilon: the obligation holds iff l == r.
       if (obl.l != obl.r) return false;
       continue;
     }
-    TopPattern pat = SplitTop(*rhs);
-    if (pat.states.empty()) {
+    if (pat->states.empty()) {
       // Constant top string: check it directly.
-      if (a_sigma.Run(obl.l, pat.seps[0]) != obl.r) return false;
+      if (a_sigma.Run(obl.l, pat->seps[0]) != obl.r) return false;
       continue;
     }
     Group g;
-    g.first_copy = static_cast<int>(copies->size());
-    g.count = static_cast<int>(pat.states.size());
-    g.seps = pat.seps;
+    g.first_copy = static_cast<int>(copies_.size());
+    g.count = static_cast<int>(pat->states.size());
+    g.seps = &pat->seps;
     g.target = obl.r;
     for (int j = 0; j < g.count; ++j) {
       Copy c;
-      c.state = pat.states[static_cast<std::size_t>(j)];
-      c.start = j == 0 ? a_sigma.Run(obl.l, pat.seps[0]) : -1;
-      copies->push_back(c);
+      c.state = pat->states[static_cast<std::size_t>(j)];
+      c.start = j == 0 ? a_sigma.Run(obl.l, pat->seps[0]) : -1;
+      copies_.push_back(c);
     }
-    groups->push_back(std::move(g));
+    groups_.push_back(g);
   }
   return true;
 }
 
-StatusOr<bool> Engine::HedgeSearch(int id, int b, int sigma,
-                                   const std::vector<Copy>& copies,
-                                   std::vector<Group> groups) {
+StatusOr<bool> Engine::HedgeSearch(int id, int b, int sigma) {
+  const std::vector<Copy>& copies = copies_;
+  const std::vector<Group>& groups = groups_;
   const Dfa& a_sigma = OutDfa(sigma);
   const Dfa& d_in = InDfa(b);
   const int k = static_cast<int>(copies.size());
   const int n_sigma = a_sigma.num_states();
   const StateSet& inhabited = din_.InhabitedSymbols();
 
-  // Guessed starts: copies with start == -1.
-  std::vector<int> guess_pos;
+  // Guessed starts: each copy with start == -1 owns one slot of guesses_.
+  guess_slot_.assign(static_cast<std::size_t>(k), -1);
+  int num_guesses = 0;
   for (int c = 0; c < k; ++c) {
-    if (copies[static_cast<std::size_t>(c)].start == -1) guess_pos.push_back(c);
+    if (copies[static_cast<std::size_t>(c)].start == -1) {
+      guess_slot_[static_cast<std::size_t>(c)] = num_guesses++;
+    }
   }
 
   // Acceptance test for a product configuration (din state d, copy states y).
@@ -275,14 +381,10 @@ StatusOr<bool> Engine::HedgeSearch(int id, int b, int sigma,
     for (const Group& g : groups) {
       for (int j = 0; j < g.count; ++j) {
         int end = a_sigma.Run(y[static_cast<std::size_t>(g.first_copy + j)],
-                              g.seps[static_cast<std::size_t>(j) + 1]);
+                              (*g.seps)[static_cast<std::size_t>(j) + 1]);
         if (j + 1 < g.count) {
           // Must equal the guessed start of the next copy in the chain.
-          int next = g.first_copy + j + 1;
-          int gi = -1;
-          for (std::size_t gp = 0; gp < guess_pos.size(); ++gp) {
-            if (guess_pos[gp] == next) gi = static_cast<int>(gp);
-          }
+          int gi = guess_slot_[static_cast<std::size_t>(g.first_copy + j + 1)];
           XTC_CHECK_GE(gi, 0);
           if (end != guesses[static_cast<std::size_t>(gi)]) return false;
         } else if (g.target >= 0) {
@@ -305,34 +407,26 @@ StatusOr<bool> Engine::HedgeSearch(int id, int b, int sigma,
   BudgetGate gate(budget);
 
   // Iterate over all guess vectors.
-  std::vector<int> guesses(guess_pos.size(), 0);
+  std::vector<int>& guesses = guesses_;
+  guesses.assign(static_cast<std::size_t>(num_guesses), 0);
   while (true) {
     // Product BFS from the initial configuration.
-    std::vector<int> y0(static_cast<std::size_t>(k));
+    std::vector<int>& y0 = y0_;
+    y0.resize(static_cast<std::size_t>(k));
     for (int c = 0; c < k; ++c) {
-      int start = copies[static_cast<std::size_t>(c)].start;
-      if (start == -1) {
-        for (std::size_t gp = 0; gp < guess_pos.size(); ++gp) {
-          if (guess_pos[gp] == c) start = guesses[gp];
-        }
-      }
-      y0[static_cast<std::size_t>(c)] = start;
+      const int gi = guess_slot_[static_cast<std::size_t>(c)];
+      y0[static_cast<std::size_t>(c)] =
+          gi == -1 ? copies[static_cast<std::size_t>(c)].start
+                   : guesses[static_cast<std::size_t>(gi)];
     }
 
-    struct Parent {
-      int prev;
-      int symbol;
-      int child_cfg;
-    };
     // Product configurations (d, y) are interned by hash; ids are dense and
     // assigned in discovery order, so an id cursor doubles as the BFS queue.
-    // The interner and key buffer are member scratch: cleared here, capacity
-    // kept across the ~#entries calls of a run.
     SubsetInterner& cfg_ids = cfg_ids_;
     cfg_ids.Clear();
-    std::vector<Parent> parents;
+    std::vector<Parent>& parents = parents_;
+    parents.clear();
     std::vector<int>& cfg_key = cfg_key_;
-    cfg_key.reserve(static_cast<std::size_t>(k) + 1);
     auto intern = [&](int d, const std::vector<int>& y, Parent par) {
       cfg_key.clear();
       cfg_key.push_back(d);
@@ -345,7 +439,7 @@ StatusOr<bool> Engine::HedgeSearch(int id, int b, int sigma,
     };
     intern(d_in.initial(), y0, Parent{-1, -1, -1});
     int accept_id = -1;
-    std::vector<int> y;
+    std::vector<int>& y = y_;
     for (int pid = 0; pid < cfg_ids.size() && accept_id == -1; ++pid) {
       XTC_RETURN_IF_ERROR(BudgetCheck(budget, "TypecheckTrac/HedgeSearch"));
       // Copy out: the interner pool may reallocate as new configurations
@@ -375,56 +469,50 @@ StatusOr<bool> Engine::HedgeSearch(int id, int b, int sigma,
         if (cand_.size() < static_cast<std::size_t>(k)) {
           cand_.resize(static_cast<std::size_t>(k));
         }
-        std::vector<std::vector<int>>& cand = cand_;
+        std::vector<std::vector<RowCell>>& cand = cand_;
         for (int i = 0; i < k; ++i) cand[static_cast<std::size_t>(i)].clear();
         bool dead_copy = false;
         for (int i = 0; i < k && !dead_copy; ++i) {
-          // Only targets reachable from y[i] in A_sigma can be satisfied.
-          const StateSet& zreach =
-              OutReachable(sigma, y[static_cast<std::size_t>(i)]);
-          for (int zi = 0; zi < n_sigma; ++zi) {
-            if (!zreach.Test(zi)) continue;
-            single_obl_buf_.assign(
-                1, Obl{copies[static_cast<std::size_t>(i)].state,
-                       y[static_cast<std::size_t>(i)], zi});
-            int sid = GetSatConfig(c, sigma, &single_obl_buf_);
-            if (stats_.configs > options_.max_configs) {
-              return ResourceExhaustedError(
-                  "trac engine exceeded the configuration budget (is the "
-                  "transducer outside T_trac?)");
-            }
-            if (sid < 0) continue;
-            if (entries_[static_cast<std::size_t>(sid)].status) {
-              cand[static_cast<std::size_t>(i)].push_back(zi);
+          const int row =
+              SingletonRow(c, sigma, copies[static_cast<std::size_t>(i)].state,
+                           y[static_cast<std::size_t>(i)]);
+          if (row < 0) return ConfigBudgetError();
+          for (const RowCell& cell : Row(row)) {
+            if (entries_[static_cast<std::size_t>(cell.id)].status) {
+              cand[static_cast<std::size_t>(i)].push_back(cell);
             } else {
-              AddDependent(sid, id);
+              AddDependent(cell.id, id);
             }
           }
           if (cand[static_cast<std::size_t>(i)].empty()) dead_copy = true;
         }
         if (dead_copy) continue;
         // Joint enumeration over the candidate product.
-        std::vector<std::size_t> idx(static_cast<std::size_t>(k), 0);
+        std::vector<std::size_t>& idx = idx_;
+        idx.assign(static_cast<std::size_t>(k), 0);
         while (true) {
           XTC_RETURN_IF_ERROR(gate.Poll("TypecheckTrac/odometer"));
           std::vector<int>& z = z_buf_;
-          z.assign(static_cast<std::size_t>(k), 0);
-          std::vector<Obl>& child = child_obl_buf_;
-          child.clear();
-          child.reserve(static_cast<std::size_t>(k));
+          z.resize(static_cast<std::size_t>(k));
           for (int i = 0; i < k; ++i) {
-            z[static_cast<std::size_t>(i)] =
-                cand[static_cast<std::size_t>(i)]
-                    [idx[static_cast<std::size_t>(i)]];
-            child.push_back(Obl{copies[static_cast<std::size_t>(i)].state,
-                                y[static_cast<std::size_t>(i)],
-                                z[static_cast<std::size_t>(i)]});
+            const std::size_t u = static_cast<std::size_t>(i);
+            z[u] = cand[u][idx[u]].r;
           }
-          int cfg = GetSatConfig(c, sigma, &child);
-          if (stats_.configs > options_.max_configs) {
-            return ResourceExhaustedError(
-                "trac engine exceeded the configuration budget (is the "
-                "transducer outside T_trac?)");
+          int cfg = -1;
+          if (k == 1) {
+            // The joint configuration is the singleton itself.
+            cfg = cand[0][idx[0]].id;
+          } else {
+            std::vector<Obl>& child = child_obl_buf_;
+            child.clear();
+            for (int i = 0; i < k; ++i) {
+              const std::size_t u = static_cast<std::size_t>(i);
+              child.push_back(Obl{copies[u].state, y[u], z[u]});
+            }
+            cfg = GetSatConfig(c, sigma, &child);
+            if (stats_.configs > options_.max_configs) {
+              return ConfigBudgetError();
+            }
           }
           if (cfg >= 0) {
             if (entries_[static_cast<std::size_t>(cfg)].status) {
@@ -479,10 +567,10 @@ StatusOr<bool> Engine::Eval(int id) {
   const bool is_top = entries_[static_cast<std::size_t>(id)].is_top;
   const int b = entries_[static_cast<std::size_t>(id)].b;
   const int sigma = entries_[static_cast<std::size_t>(id)].sigma;
-  std::vector<Copy> copies;
-  std::vector<Group> groups;
+  copies_.clear();
+  groups_.clear();
   if (is_top) {
-    const TopPattern pattern = entries_[static_cast<std::size_t>(id)].pattern;
+    const TopPattern& pattern = *entries_[static_cast<std::size_t>(id)].pattern;
     const Dfa& a_sigma = OutDfa(sigma);
     if (pattern.states.empty()) {
       return !a_sigma.Accepts(pattern.seps[0]);
@@ -490,24 +578,22 @@ StatusOr<bool> Engine::Eval(int id) {
     Group g;
     g.first_copy = 0;
     g.count = static_cast<int>(pattern.states.size());
-    g.seps = pattern.seps;
+    g.seps = &pattern.seps;
     g.target = -1;  // complement acceptance
     for (int j = 0; j < g.count; ++j) {
       Copy c;
       c.state = pattern.states[static_cast<std::size_t>(j)];
       c.start = j == 0 ? a_sigma.Run(a_sigma.initial(), pattern.seps[0]) : -1;
-      copies.push_back(c);
+      copies_.push_back(c);
     }
-    groups.push_back(std::move(g));
-    return HedgeSearch(id, b, sigma, copies, std::move(groups));
+    groups_.push_back(g);
+    return HedgeSearch(id, b, sigma);
   }
-  if (!ExpandSat(entries_[static_cast<std::size_t>(id)], &copies, &groups)) {
-    return false;
-  }
-  if (copies.empty()) {
+  if (!ExpandSat(entries_[static_cast<std::size_t>(id)])) return false;
+  if (copies_.empty()) {
     return din_.InhabitedSymbols().Test(b);
   }
-  return HedgeSearch(id, b, sigma, copies, std::move(groups));
+  return HedgeSearch(id, b, sigma);
 }
 
 Status Engine::Solve() {
@@ -614,9 +700,6 @@ StatusOr<TypecheckResult> Engine::Run() {
     const RhsHedge* rhs = t_.rule(q, a);
     if (rhs == nullptr) continue;
     // Walk all label nodes of the template.
-    struct Item {
-      const RhsNode* node;
-    };
     std::vector<const RhsNode*> stack;
     for (const RhsNode& n : *rhs) stack.push_back(&n);
     while (!stack.empty()) {
@@ -629,7 +712,8 @@ StatusOr<TypecheckResult> Engine::Run() {
       e.b = a;
       e.q = q;
       e.sigma = u->label;
-      e.pattern = SplitTop(u->children);
+      patterns_.push_back(SplitTop(u->children));
+      e.pattern = &patterns_.back();
       int id = static_cast<int>(entries_.size());
       entries_.push_back(std::move(e));
       queued_.push_back(true);

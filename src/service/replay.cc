@@ -78,9 +78,9 @@ SchemaSpec StreamDocSchemaSpec() {
 }
 
 TransducerSpec StreamDocTransducerSpec() {
-  TransducerSpec spec;
-  spec.states = {"m"};
-  spec.initial = "m";
+  // Initialized, not assigned: GCC 12 reports a false -Wrestrict on
+  // assigning a literal to the std::string member here.
+  TransducerSpec spec{.states = {"m"}, .initial = "m", .rules = {}};
   spec.rules.push_back({"m", "root", "root(m)"});
   spec.rules.push_back({"m", "section", "section(m)"});
   spec.rules.push_back({"m", "item", "item"});
@@ -88,9 +88,7 @@ TransducerSpec StreamDocTransducerSpec() {
 }
 
 TransducerSpec StreamDocCopyTransducerSpec() {
-  TransducerSpec spec;
-  spec.states = {"m"};
-  spec.initial = "m";
+  TransducerSpec spec{.states = {"m"}, .initial = "m", .rules = {}};
   spec.rules.push_back({"m", "root", "root(m)"});
   // Two state leaves under one label: the second copy of every section's
   // children cannot stream and lands in the spill buffer.

@@ -1,6 +1,7 @@
 #include "src/workload/families.h"
 
 #include "src/base/logging.h"
+#include "src/base/name.h"
 
 namespace xtc {
 namespace {
@@ -70,7 +71,7 @@ PaperExample WidthFamily(int c, int k) {
   ex.transducer = std::make_shared<Transducer>(ex.alphabet.get());
   int q0 = ex.transducer->AddState("q0");
   for (int i = 1; i <= k; ++i) {
-    ex.transducer->AddState("d" + std::to_string(i));
+    ex.transducer->AddState(IndexedName("d", i));
   }
   ex.transducer->AddState("w");
   ex.transducer->AddState("m");
@@ -79,8 +80,8 @@ PaperExample WidthFamily(int c, int k) {
   MustSetRule(ex.transducer.get(), "q0", "r", "r(" + first + ")");
   for (int i = 1; i <= k; ++i) {
     // Each chain state deletes with width two: K doubles per level.
-    std::string next = i == k ? "w" : "d" + std::to_string(i + 1);
-    MustSetRule(ex.transducer.get(), "d" + std::to_string(i), "a",
+    std::string next = i == k ? "w" : IndexedName("d", i + 1);
+    MustSetRule(ex.transducer.get(), IndexedName("d", i), "a",
                 next + " " + next);
   }
   std::string copies;
@@ -146,14 +147,13 @@ PaperExample XPathChainFamily(int n) {
   ex.alphabet = std::make_shared<Alphabet>();
   ex.alphabet->Intern("title");
   for (int i = 0; i <= n; ++i) {
-    ex.alphabet->Intern("c" + std::to_string(i));
+    ex.alphabet->Intern(IndexedName("c", i));
   }
   ex.din = std::make_shared<Dtd>(ex.alphabet.get(), *ex.alphabet->Find("c0"));
   for (int i = 0; i < n; ++i) {
-    MustSetDtdRule(ex.din.get(), "c" + std::to_string(i),
-                   "c" + std::to_string(i + 1));
+    MustSetDtdRule(ex.din.get(), IndexedName("c", i), IndexedName("c", i + 1));
   }
-  MustSetDtdRule(ex.din.get(), "c" + std::to_string(n), "title");
+  MustSetDtdRule(ex.din.get(), IndexedName("c", n), "title");
   ex.transducer = std::make_shared<Transducer>(ex.alphabet.get());
   int q0 = ex.transducer->AddState("q0");
   ex.transducer->AddState("q");

@@ -1,6 +1,7 @@
 #include "src/workload/generators.h"
 
 #include "src/base/logging.h"
+#include "src/base/name.h"
 
 namespace xtc {
 namespace {
@@ -17,7 +18,7 @@ bool Chance(std::mt19937* rng, double p) {
 
 void InternSymbols(Alphabet* alphabet, int n) {
   for (int i = 0; i < n; ++i) {
-    alphabet->Intern("a" + std::to_string(i));
+    alphabet->Intern(IndexedName("a", i));
   }
 }
 
@@ -91,7 +92,7 @@ Transducer RandomTransducer(std::mt19937* rng, Alphabet* alphabet,
   InternSymbols(alphabet, options.num_symbols);
   Transducer t(alphabet);
   for (int q = 0; q < options.num_states; ++q) {
-    t.AddState("q" + std::to_string(q));
+    t.AddState(IndexedName("q", q));
   }
   t.SetInitial(0);
   for (int q = 0; q < options.num_states; ++q) {
